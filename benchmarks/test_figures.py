@@ -1,15 +1,16 @@
 """F1–F3 — trend figures rendered from the experiment sweeps.
 
 The paper contains no figures; these charts are the harness's figure-
-style artifacts, regenerated from the same sweeps as the tables:
+style artifacts, regenerated from the same sweeps as the tables
+(:data:`repro.experiments.figures.FIGURES`):
 
 * **F1** — coalition vs single-node utility over neighborhood size (E1);
 * **F2** — protocol messages over node count (E4);
 * **F3** — coalition gain over capacity heterogeneity (E7).
 """
 
-from benchmarks.conftest import run_suite
-from repro.experiments.figures import figure_from_table
+from benchmarks.conftest import archive
+from repro.experiments.figures import render_figure
 from repro.experiments.suites import (
     e1_coalition_vs_single,
     e4_scalability,
@@ -17,47 +18,21 @@ from repro.experiments.suites import (
 )
 
 
-def _archive(chart, results_dir, name: str) -> None:
-    text = chart.render()
-    print("\n" + text)
-    (results_dir / f"{name}.txt").write_text(text + "\n")
+def _figure(benchmark, suite, sweep, results_dir, name: str) -> str:
+    table = benchmark.pedantic(suite, args=(sweep,), rounds=1, iterations=1)
+    text = render_figure(name, table).render()
+    archive(text, results_dir, name)
+    return text
 
 
 def test_f1_utility_vs_nodes(benchmark, sweep, results_dir):
-    table = benchmark.pedantic(
-        e1_coalition_vs_single, args=(sweep,), rounds=1, iterations=1
-    )
-    chart = figure_from_table(
-        table, "nodes", ["single utility", "coalition utility"],
-        title="F1 — utility vs neighborhood size (movie, phone requester)",
-        y_label="mean utility",
-    )
-    _archive(chart, results_dir, "F1")
-    text = chart.render()
+    text = _figure(benchmark, e1_coalition_vs_single, sweep, results_dir, "F1")
     assert "coalition utility" in text and "single utility" in text
 
 
 def test_f2_messages_vs_nodes(benchmark, sweep, results_dir):
-    table = benchmark.pedantic(
-        e4_scalability, args=(sweep,), rounds=1, iterations=1
-    )
-    chart = figure_from_table(
-        table, "nodes", ["messages", "proposals"],
-        title="F2 — protocol cost vs node count (agent-based)",
-        y_label="count",
-    )
-    _archive(chart, results_dir, "F2")
-    assert "messages" in chart.render()
+    assert "messages" in _figure(benchmark, e4_scalability, sweep, results_dir, "F2")
 
 
 def test_f3_gain_vs_heterogeneity(benchmark, sweep, results_dir):
-    table = benchmark.pedantic(
-        e7_heterogeneity, args=(sweep,), rounds=1, iterations=1
-    )
-    chart = figure_from_table(
-        table, "cpu spread", ["solo utility", "coalition utility", "gain"],
-        title="F3 — coalition gain vs capacity heterogeneity",
-        y_label="utility / gain",
-    )
-    _archive(chart, results_dir, "F3")
-    assert "gain" in chart.render()
+    assert "gain" in _figure(benchmark, e7_heterogeneity, sweep, results_dir, "F3")

@@ -1,9 +1,9 @@
 """R5 — feature-switch-snapshot: read each switch once per function.
 
-The :mod:`repro.features` contract (PR 6) is *snapshot semantics*: a
-run/object reads its switch exactly once — at ``negotiate()`` entry, at
-``Topology`` construction — so flipping a switch mid-run can never mix
-the legacy and optimized paths inside one result. A function body that
+The :mod:`repro.features` contract is *snapshot semantics*: a
+run/object reads its switch exactly once — at ``ShardedCluster``
+construction, at ``make_injector()`` — so flipping a switch mid-run can
+never mix the on and off paths inside one result. A function body that
 reads the same switch twice (two ``USE_X`` loads, or two
 ``features.is_enabled("x")`` calls) re-opens that race: the A/B
 harness, a test's ``override()`` context, or a future async driver can
@@ -26,7 +26,7 @@ from repro.analysis.rules.base import (
 )
 
 #: Module-level feature-switch globals follow this spelling by
-#: convention (``USE_BATCH_EVALUATION``, ``USE_VECTOR_TOPOLOGY``, …).
+#: convention (``USE_SHARDING``, ``USE_FAULTS``, …).
 _SWITCH_NAME = re.compile(r"^USE_[A-Z0-9_]+$")
 
 
@@ -35,7 +35,7 @@ class FeatureSnapshotRule(Rule):
     name = "feature-switch-snapshot"
     rationale = (
         "feature switches are snapshot-once-per-run; a second read in "
-        "one function body can mix legacy and optimized paths mid-run"
+        "one function body can mix the on and off paths mid-run"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

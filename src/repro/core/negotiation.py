@@ -33,11 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.admissibility import is_admissible
 from repro.core.coalition import Coalition, TaskAward
-from repro.core.evaluation import (
-    BatchProposalEvaluator,
-    ProposalEvaluator,
-    WeightScheme,
-)
+from repro.core.evaluation import BatchProposalEvaluator, WeightScheme
 from repro.core.formulation import formulate
 from repro.core.proposal import Proposal
 from repro.core.reputation import ReputationTracker
@@ -58,12 +54,6 @@ from repro.services.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-
-#: Feature switch for the batched step-3 evaluation path. The scalar
-#: per-proposal path is kept so tests can assert both paths produce
-#: bit-identical outcomes (``tests/test_batch_evaluation.py``); leave
-#: this ``True`` outside of those A/B comparisons.
-USE_BATCH_EVALUATION = True
 
 
 @dataclass
@@ -295,39 +285,25 @@ def score_admissible(
     reputation=None,
     battery=None,
     evaluator_kwargs: Optional[dict] = None,
-    use_batch: Optional[bool] = None,
 ) -> Tuple[ScoredProposal, ...]:
     """Step-3 scoring of one task's admissible proposals (both drivers).
 
-    With :data:`USE_BATCH_EVALUATION` on (the default), distances come
-    from a :class:`BatchProposalEvaluator` compiled once per request —
-    ``evaluator_cache`` is keyed by request identity and owned by the
-    caller (one negotiation run / one organizer session), so tasks
-    sharing a request reuse the compiled arrays. With the switch off the
-    scalar evaluator reproduces the pre-batching path; both paths score
-    bit-identically (``tests/test_batch_evaluation.py``).
-
-    ``use_batch`` lets a caller pin the path for its whole run —
-    :func:`negotiate` snapshots the switch once at entry, so one
-    negotiation never mixes paths even if the global flips mid-run
-    (the construction-time-snapshot semantics of :mod:`repro.features`).
-    ``None`` reads the global per call.
+    Distances come from a :class:`BatchProposalEvaluator` compiled once
+    per request — ``evaluator_cache`` is keyed by request identity and
+    owned by the caller (one negotiation run / one organizer session),
+    so tasks sharing a request reuse the compiled arrays. The batch
+    scores equal :class:`~repro.core.evaluation.ProposalEvaluator`'s
+    bit for bit (``tests/test_batch_evaluation.py``).
     """
-    kwargs = evaluator_kwargs or {}
-    if USE_BATCH_EVALUATION if use_batch is None else use_batch:
-        evaluator = evaluator_cache.get(id(request))
-        if evaluator is None:
-            evaluator = BatchProposalEvaluator(request, weights=weights, **kwargs)
-            evaluator_cache[id(request)] = evaluator
-        return SelectionPolicy.score(
-            admissible, None, comm_cost, members,
-            reputation=reputation, battery=battery,
-            distances=[float(d) for d in evaluator.distances(admissible)],
+    evaluator = evaluator_cache.get(id(request))
+    if evaluator is None:
+        evaluator = BatchProposalEvaluator(
+            request, weights=weights, **(evaluator_kwargs or {})
         )
-    scalar = ProposalEvaluator(request, weights=weights, **kwargs)
+        evaluator_cache[id(request)] = evaluator
     return SelectionPolicy.score(
-        admissible, scalar.distance, comm_cost, members,
-        reputation=reputation, battery=battery,
+        admissible, [float(d) for d in evaluator.distances(admissible)],
+        comm_cost, members, reputation=reputation, battery=battery,
     )
 
 
@@ -362,7 +338,7 @@ def negotiate(
         candidates: Override the audience (default:
             :func:`candidate_nodes`).
         evaluator_options: Extra kwargs for
-            :class:`~repro.core.evaluation.ProposalEvaluator`
+            :class:`~repro.core.evaluation.BatchProposalEvaluator`
             (``normalize_by``, ``signed``, ``float_steps``).
         max_hops: CFP reach in hops. 1 = the paper's one-hop broadcast;
             > 1 enables the relayed extension, with communication costs
@@ -385,9 +361,6 @@ def negotiate(
     selection = selection if selection is not None else SelectionPolicy()
     evaluator_options = dict(evaluator_options or {})
     coalition = Coalition(service, formed_at=now)
-    # Snapshot the feature switch once: one run scores every task down
-    # the same path, even if the global is flipped mid-negotiation.
-    use_batch = USE_BATCH_EVALUATION
     audience = (
         tuple(candidates) if candidates is not None
         else candidate_nodes(service, topology, max_hops)
@@ -456,7 +429,6 @@ def negotiate(
             reputation=reputation.score if reputation is not None else None,
             battery=battery,
             evaluator_kwargs=evaluator_kwargs,
-            use_batch=use_batch,
         )
         ranked = selection.rank(scored)
         awarded = _try_award(

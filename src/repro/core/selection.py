@@ -22,7 +22,7 @@ Each criterion can be disabled for the E6 ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Optional, Sequence, Set, Tuple
 
 from repro.core.proposal import Proposal
 from repro.errors import NoAdmissibleProposalError
@@ -140,33 +140,25 @@ class SelectionPolicy:
 
     @staticmethod
     def score(
-        proposals: Iterable[Proposal],
-        distance: Optional[Callable[[Proposal], float]],
+        proposals: Sequence[Proposal],
+        distances: Sequence[float],
         comm_cost: CommCost,
         members: Set[str],
         reputation: Optional[Callable[[str], float]] = None,
         battery: Optional[Callable[[str], float]] = None,
-        distances: Optional[Sequence[float]] = None,
     ) -> Tuple[ScoredProposal, ...]:
         """Attach scores to raw proposals.
 
         Args:
             proposals: Admissible proposals for one task.
-            distance: eq. 2 evaluator, proposal → distance. May be
-                ``None`` when ``distances`` is given.
+            distances: Their eq. 2 distances, aligned with ``proposals``
+                (:meth:`BatchProposalEvaluator.distances
+                <repro.core.evaluation.BatchProposalEvaluator.distances>`).
             comm_cost: node id → communication cost to the requester.
             members: Node ids already in the forming coalition.
             reputation: Optional node id → reliability estimate.
             battery: Optional node id → remaining battery fraction.
-            distances: Precomputed eq. 2 distances aligned with
-                ``proposals`` (the batched-evaluation path); overrides
-                ``distance``.
         """
-        if distances is None:
-            if distance is None:
-                raise ValueError("score needs either distance or distances")
-            proposals = tuple(proposals)
-            distances = [distance(p) for p in proposals]
         return tuple(
             ScoredProposal(
                 proposal=p,

@@ -151,3 +151,26 @@ def figure_from_table(
     for name in y_columns:
         chart.add_series(name, xs, [value(c) for c in table.column(name)])
     return chart
+
+
+#: The F1–F3 trend figures, keyed by figure id: ``(source suite, x
+#: column, y columns, title, y label)``. The benchmarks render them from
+#: their suite's table, and :meth:`ResultsStore.write_bench
+#: <repro.experiments.store.ResultsStore.write_bench>` writes them next to
+#: that table, so one CLI run regenerates both.
+FIGURES: Dict[str, Tuple[str, str, Tuple[str, ...], str, str]] = {
+    "F1": ("E1", "nodes", ("single utility", "coalition utility"),
+           "F1 — utility vs neighborhood size (movie, phone requester)",
+           "mean utility"),
+    "F2": ("E4", "nodes", ("messages", "proposals"),
+           "F2 — protocol cost vs node count (agent-based)", "count"),
+    "F3": ("E7", "cpu spread", ("solo utility", "coalition utility", "gain"),
+           "F3 — coalition gain vs capacity heterogeneity", "utility / gain"),
+}
+
+
+def render_figure(figure_id: str, table) -> AsciiChart:
+    """Figure ``figure_id`` of :data:`FIGURES`, drawn from its source
+    suite's ``table``."""
+    _suite, x_column, y_columns, title, y_label = FIGURES[figure_id]
+    return figure_from_table(table, x_column, y_columns, title=title, y_label=y_label)

@@ -7,6 +7,9 @@ which :class:`ResultsStore` persists under a results directory:
 * ``<root>/runs/<suite>/<run_id>.json`` — the append-only run archive;
 * ``<root>/BENCH_<suite>.json`` — the latest machine-readable bench
   report per suite, the artifact CI uploads and perf tracking diffs.
+* ``<root>/<suite>.txt`` (plus any ``F<n>.txt`` figure drawn from the
+  suite) — the rendered table; with ``--out benchmarks/results`` the
+  CLI regenerates the committed tables the benchmarks check against.
 
 Records round-trip losslessly (``save`` → ``load`` → ``compare`` reports
 *identical*), which is how the determinism guarantee of the parallel
@@ -33,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.config import SweepConfig
+from repro.experiments.figures import FIGURES, render_figure
 from repro.experiments.reporting import Table
 from repro.metrics.stats import Summary
 
@@ -193,10 +197,17 @@ class ResultsStore:
         return self.root / f"BENCH_{suite}.json"
 
     def write_bench(self, record: RunRecord) -> Path:
-        """Write/overwrite the suite's ``BENCH_<suite>.json`` report."""
+        """Write/overwrite the suite's ``BENCH_<suite>.json`` report, its
+        rendered ``<suite>.txt`` table and any ``F<n>.txt`` figure drawn
+        from it (:data:`~repro.experiments.figures.FIGURES`)."""
         path = self.bench_path(record.suite)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(record.to_dict(), indent=2) + "\n")
+        (self.root / f"{record.suite}.txt").write_text(record.table.render() + "\n")
+        for figure_id, (suite, *_spec) in FIGURES.items():
+            if suite == record.suite:
+                chart = render_figure(figure_id, record.table)
+                (self.root / f"{figure_id}.txt").write_text(chart.render() + "\n")
         return path
 
     def load_bench(self, suite: str) -> RunRecord:

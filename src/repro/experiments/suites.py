@@ -3,9 +3,9 @@
 E1–E14 and the E18/E19 scale sweeps live in this module; the
 scenario-generation suites E15–E17
 (:mod:`repro.experiments.workload_suites`, built on
-:mod:`repro.workloads`) are imported and registered at the bottom so
-:data:`SUITE_PLANS` and :data:`ALL_SUITES` stay the single sources of
-truth for "every suite".
+:mod:`repro.workloads`) and E20–E23 are imported and registered at the
+bottom, so :data:`SUITE_PLANS` stays the single source of truth for
+"every suite" (:data:`ALL_SUITES` is derived from it).
 
 Each suite is written as a *plan builder*: a function taking a
 :class:`~repro.experiments.config.SweepConfig` and returning a
@@ -74,19 +74,15 @@ from repro.sim.rng import RngRegistry
 
 
 def _table_suite(
-    builder: Callable[[SweepConfig], SuitePlan], name: str
+    builder: Callable[[SweepConfig], SuitePlan], suite_id: str
 ) -> Callable[[SweepConfig], Table]:
-    """The public ``Table``-returning callable for a plan builder.
-
-    Keeps the PR 1 interface (``suite(sweep) -> Table``) working for
-    benchmarks and tests while the scheduler consumes the plans.
-    """
+    """The public ``Table``-returning callable for a plan builder
+    (``suite(sweep) -> Table``), which runs the plan point by point."""
 
     def suite(sweep: SweepConfig = SweepConfig()) -> Table:
         return run_plan(builder(sweep), sweep)
 
-    suite.__name__ = name
-    suite.__qualname__ = name
+    suite.__name__ = suite.__qualname__ = f"{suite_id.lower()}_suite"
     suite.__doc__ = builder.__doc__
     return suite
 
@@ -1207,54 +1203,35 @@ SUITE_PLANS: Dict[str, Callable[[SweepConfig], SuitePlan]] = {
     "E23": e23_plan,
 }
 
-# The PR 1 public interface: each suite as a Table-returning callable.
-e1_coalition_vs_single = _table_suite(e1_plan, "e1_coalition_vs_single")
-e2_evaluation_quality = _table_suite(e2_plan, "e2_evaluation_quality")
-e3_degradation_reward = _table_suite(e3_plan, "e3_degradation_reward")
-e4_scalability = _table_suite(e4_plan, "e4_scalability")
-e5_mobility = _table_suite(e5_plan, "e5_mobility")
-e6_tiebreak_ablation = _table_suite(e6_plan, "e6_tiebreak_ablation")
-e7_heterogeneity = _table_suite(e7_plan, "e7_heterogeneity")
-e8_failure_recovery = _table_suite(e8_plan, "e8_failure_recovery")
-e9_weight_ablation = _table_suite(e9_plan, "e9_weight_ablation")
-e10_offloading = _table_suite(e10_plan, "e10_offloading")
-e11_multihop = _table_suite(e11_plan, "e11_multihop")
-e12_reputation = _table_suite(e12_plan, "e12_reputation")
-e13_battery_lifetime = _table_suite(e13_plan, "e13_battery_lifetime")
-e14_pipeline = _table_suite(e14_plan, "e14_pipeline")
-e15_contention = _table_suite(e15_plan, "e15_contention")
-e16_saturation = _table_suite(e16_plan, "e16_saturation")
-e17_new_services = _table_suite(e17_plan, "e17_new_services")
-e18_scale_sweep = _table_suite(e18_plan, "e18_scale_sweep")
-e19_mobility_scale = _table_suite(e19_plan, "e19_mobility_scale")
-e20_streaming_sessions = _table_suite(e20_plan, "e20_streaming_sessions")
-e21_realistic_arrivals = _table_suite(e21_plan, "e21_realistic_arrivals")
-e22_shard_scale = _table_suite(e22_plan, "e22_shard_scale")
-e23_fault_sweep = _table_suite(e23_plan, "e23_fault_sweep")
-
-#: All suites, keyed by experiment id (benchmarks and docs iterate this).
-ALL_SUITES = {
-    "E1": e1_coalition_vs_single,
-    "E2": e2_evaluation_quality,
-    "E3": e3_degradation_reward,
-    "E4": e4_scalability,
-    "E5": e5_mobility,
-    "E6": e6_tiebreak_ablation,
-    "E7": e7_heterogeneity,
-    "E8": e8_failure_recovery,
-    "E9": e9_weight_ablation,
-    "E10": e10_offloading,
-    "E11": e11_multihop,
-    "E12": e12_reputation,
-    "E13": e13_battery_lifetime,
-    "E14": e14_pipeline,
-    "E15": e15_contention,
-    "E16": e16_saturation,
-    "E17": e17_new_services,
-    "E18": e18_scale_sweep,
-    "E19": e19_mobility_scale,
-    "E20": e20_streaming_sessions,
-    "E21": e21_realistic_arrivals,
-    "E22": e22_shard_scale,
-    "E23": e23_fault_sweep,
+#: All suites as ``Table``-returning callables, keyed by experiment id
+#: (benchmarks, tests and the CLI iterate this). Derived from
+#: :data:`SUITE_PLANS`, so adding a suite is one registry entry.
+ALL_SUITES: Dict[str, Callable[[SweepConfig], Table]] = {
+    suite_id: _table_suite(builder, suite_id)
+    for suite_id, builder in SUITE_PLANS.items()
 }
+
+# The public per-suite names the benchmarks import.
+e1_coalition_vs_single = ALL_SUITES["E1"]
+e2_evaluation_quality = ALL_SUITES["E2"]
+e3_degradation_reward = ALL_SUITES["E3"]
+e4_scalability = ALL_SUITES["E4"]
+e5_mobility = ALL_SUITES["E5"]
+e6_tiebreak_ablation = ALL_SUITES["E6"]
+e7_heterogeneity = ALL_SUITES["E7"]
+e8_failure_recovery = ALL_SUITES["E8"]
+e9_weight_ablation = ALL_SUITES["E9"]
+e10_offloading = ALL_SUITES["E10"]
+e11_multihop = ALL_SUITES["E11"]
+e12_reputation = ALL_SUITES["E12"]
+e13_battery_lifetime = ALL_SUITES["E13"]
+e14_pipeline = ALL_SUITES["E14"]
+e15_contention = ALL_SUITES["E15"]
+e16_saturation = ALL_SUITES["E16"]
+e17_new_services = ALL_SUITES["E17"]
+e18_scale_sweep = ALL_SUITES["E18"]
+e19_mobility_scale = ALL_SUITES["E19"]
+e20_streaming_sessions = ALL_SUITES["E20"]
+e21_realistic_arrivals = ALL_SUITES["E21"]
+e22_shard_scale = ALL_SUITES["E22"]
+e23_fault_sweep = ALL_SUITES["E23"]

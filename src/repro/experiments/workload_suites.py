@@ -27,8 +27,8 @@ hand-building clusters and loops:
   is attributable to burstiness alone.
 
 Each plan builder returns a :class:`~repro.experiments.plan.SuitePlan`
-and is registered in :data:`repro.experiments.suites.SUITE_PLANS` /
-``ALL_SUITES`` next to E1–E14, so the suites ride the shared work-queue
+and is registered in :data:`repro.experiments.suites.SUITE_PLANS`
+next to E1–E14, so the suites ride the shared work-queue
 scheduler with the bit-identical parallel==serial guarantee intact
 (every replication is a pure function of its seed; see
 :mod:`repro.workloads.contention`).

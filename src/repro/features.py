@@ -1,15 +1,8 @@
 """One registry for the library's feature switches.
 
-The optimized fast paths each ship with a module-level boolean so A/B
-tests can pin the legacy path and assert bit-identical results:
+Two subsystems ship with a module-level boolean that turns them off
+for a whole run:
 
-* ``batch-evaluation`` — :data:`repro.core.negotiation.USE_BATCH_EVALUATION`,
-  the vectorized step-3 proposal scoring;
-* ``vector-topology`` — :data:`repro.network.topology.USE_VECTOR_TOPOLOGY`,
-  the numpy adjacency/routing arena;
-* ``session-driver`` — :data:`repro.workloads.contention.USE_SESSION_DRIVER`,
-  the event-driven streaming-session engine (configs with
-  ``sessions.operate=True`` fall back to admission-only when off);
 * ``shard`` — :data:`repro.shard.cluster.USE_SHARDING`, the spatially-
   partitioned cluster shards with gateway routing (clusters collapse to
   one shard when off);
@@ -18,23 +11,20 @@ tests can pin the legacy path and assert bit-identical results:
   non-empty :class:`~repro.faults.plan.FaultPlan` run fault-free when
   off).
 
+Both are A/B switches with a meaning of their own: an enabled subsystem
+that a run does not use (one shard, an empty plan) must be bit-identical
+to a disabled one (``--disable-feature`` runs that A/B from the CLI).
+
 This module is the one place that knows where those booleans live.
-Switches keep living in their owning modules (existing tests
-monkeypatch them directly, and the modules stay importable alone);
+Switches keep living in their owning modules (tests monkeypatch them
+directly, and the modules stay importable alone);
 :func:`set_enabled`/:func:`override` here delegate to the same
 attributes, so both styles compose.
 
 Snapshot semantics — every switch is read **once per constructed
 object or run**, never mid-flight:
 
-* ``vector-topology`` at :class:`~repro.network.topology.Topology`
-  construction;
-* ``batch-evaluation`` at :func:`~repro.core.negotiation.negotiate`
-  entry (one negotiation scores all its tasks down one path);
-* ``session-driver`` at :func:`~repro.workloads.run_contention` entry
-  (one run is all-driver or all-legacy);
-* ``shard`` at :class:`~repro.shard.ShardedCluster` construction
-  (matching ``vector-topology``'s construction-time snapshot);
+* ``shard`` at :class:`~repro.shard.ShardedCluster` construction;
 * ``faults`` at :func:`~repro.faults.injector.make_injector` — called
   once per streaming run, so a run is all-faulted or all-clean.
 
@@ -75,27 +65,6 @@ class FeatureSwitch:
 FEATURES: Dict[str, FeatureSwitch] = {
     switch.name: switch
     for switch in (
-        FeatureSwitch(
-            name="batch-evaluation",
-            module="repro.core.negotiation",
-            attribute="USE_BATCH_EVALUATION",
-            description="vectorized step-3 proposal scoring "
-                        "(snapshot per negotiate() run)",
-        ),
-        FeatureSwitch(
-            name="vector-topology",
-            module="repro.network.topology",
-            attribute="USE_VECTOR_TOPOLOGY",
-            description="numpy adjacency/routing arena "
-                        "(snapshot per Topology construction)",
-        ),
-        FeatureSwitch(
-            name="session-driver",
-            module="repro.workloads.contention",
-            attribute="USE_SESSION_DRIVER",
-            description="event-driven streaming-session engine "
-                        "(snapshot per run_contention() run)",
-        ),
         FeatureSwitch(
             name="shard",
             module="repro.shard.cluster",

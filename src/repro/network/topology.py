@@ -6,34 +6,27 @@ two questions: *who are the requester's neighbors right now* (candidate
 coalition members — the paper's "nodes in range") and *what does it cost to
 talk to them* (link bandwidth → communication-cost tie-break).
 
-Two implementations coexist, selected by :data:`USE_VECTOR_TOPOLOGY`:
+The graph lives in a **vectorized arena**: :meth:`Topology.rebuild`
+packs the live nodes' positions into a contiguous numpy array, computes
+the full pairwise distance matrix by broadcasting
+(:func:`repro.network.geometry.pairwise_distances`, bit-exact where it
+matters), and evaluates the radio model's ``*_matrix`` methods over it.
+Adjacency and edge attributes (bandwidth / loss) live in numpy arrays.
+Every membership or connectivity change bumps an **epoch counter**,
+which keys per-epoch caches for neighbor tuples, BFS orders
+(:meth:`khop_neighbors`) and weighted shortest routes
+(:meth:`shortest_route` / :meth:`multihop_cost`) — repeated queries
+within an epoch are O(1) dictionary hits, which is what the messaging
+layer's routed delivery and the organizer's comm-cost tie-breaks hit on
+every CFP.
 
-* the **vectorized arena** (default): :meth:`Topology.rebuild` packs the
-  live nodes' positions into a contiguous numpy arena, computes the full
-  pairwise distance matrix by broadcasting
-  (:func:`repro.network.geometry.pairwise_distances`, bit-exact where it
-  matters), and evaluates the radio model's ``*_matrix`` methods over it.
-  Adjacency and edge attributes (bandwidth / loss) live in numpy arrays;
-  the :mod:`networkx` graph is materialized lazily, only when an analysis
-  helper or external caller asks for :attr:`Topology.graph`. Every
-  membership or connectivity change bumps an **epoch counter**, which
-  keys per-epoch caches for neighbor tuples, BFS orders
-  (:meth:`khop_neighbors`) and weighted shortest routes
-  (:meth:`shortest_route` / :meth:`multihop_cost`) — repeated queries
-  within an epoch are O(1) dictionary hits, which is what the messaging
-  layer's routed delivery and the organizer's comm-cost tie-breaks hit
-  on every CFP;
-* the **legacy networkx path** (``USE_VECTOR_TOPOLOGY = False``): the
-  original per-pair Python rebuild and per-query networkx searches, kept
-  so equivalence tests can assert both paths agree bit for bit
-  (``tests/test_topology_vector.py``), exactly like
-  ``negotiation.USE_BATCH_EVALUATION``.
-
-Both paths produce identical observable results — same neighbor order
-(networkx adjacency order is the alive-list insertion order), same
-shortest routes (the vector path replays networkx's
-``bidirectional_dijkstra`` tie-breaking over precomputed edge costs), and
-bit-identical link qualities.
+The answers match the original graph-library implementation bit for
+bit: neighbors come in live-node registration order, shortest routes
+replay the classic bidirectional Dijkstra's tie-breaking over
+precomputed edge costs, and link qualities are the scalar radio curves'.
+``tests/test_topology_vector.py`` pins this against a pure-Python
+reference (``benchmarks/reference_topology.py``) and a golden fixture
+(``tests/data/topology_golden.json``) recorded from that implementation.
 """
 
 from __future__ import annotations
@@ -41,20 +34,12 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import NotConnectedError, UnknownNodeError
 from repro.network.geometry import _APPROX_MARGIN, exact_distances, pairwise_distances, position_array
 from repro.network.radio import RadioModel
 from repro.resources.node import Node
-
-#: Feature switch for the vectorized topology arena. The networkx-backed
-#: scalar path is kept so tests can assert both implementations produce
-#: bit-identical results (``tests/test_topology_vector.py``); leave this
-#: ``True`` outside of those A/B comparisons. Read at construction time:
-#: each :class:`Topology` instance snapshots the flag in ``__init__``.
-USE_VECTOR_TOPOLOGY = True
 
 #: Per-epoch cache bounds. Long mobility runs at thousands of nodes query
 #: routes for an ever-changing working set; unbounded memoization would
@@ -76,10 +61,8 @@ class Topology:
     def __init__(self, nodes: Sequence[Node], radio: RadioModel) -> None:
         self.radio = radio
         self._nodes: Dict[str, Node] = {}
-        self._vectorized = bool(USE_VECTOR_TOPOLOGY)
         self._epoch = 0
-        self._graph: Optional[nx.Graph] = None if self._vectorized else nx.Graph()
-        # -- arena state, valid after rebuild() (vector mode only) --------
+        # -- arena state, valid after rebuild() ---------------------------
         self.positions = np.empty((0, 2), dtype=np.float64)
         self._arena_ids: Tuple[str, ...] = ()
         self._index: Dict[str, int] = {}
@@ -119,11 +102,11 @@ class Topology:
         self._epoch += 1
 
     def _on_liveness_change(self, node: Node) -> None:
-        """A registered node's ``alive`` flag flipped. Like the networkx
-        graph, the adjacency arrays intentionally keep the stale edges
-        until the next :meth:`rebuild` (radio links do not disappear
-        because software on the peer crashed) — but cached routes and
-        neighbor tuples are invalidated so nothing outlives the event."""
+        """A registered node's ``alive`` flag flipped. The adjacency
+        arrays intentionally keep the stale edges until the next
+        :meth:`rebuild` (radio links do not disappear because software on
+        the peer crashed) — but cached routes and neighbor tuples are
+        invalidated so nothing outlives the event."""
         self._bump_epoch()
 
     # -- membership ------------------------------------------------------------
@@ -132,25 +115,17 @@ class Topology:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
-        if self._vectorized:
-            node.add_liveness_watcher(self._on_liveness_change)
-            self._graph = None
-            self._bump_epoch()
-        else:
-            self._graph.add_node(node.node_id)
+        node.add_liveness_watcher(self._on_liveness_change)
+        self._bump_epoch()
 
     def remove_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
         node = self._nodes.pop(node_id)
-        if self._vectorized:
-            node.remove_liveness_watcher(self._on_liveness_change)
-            if node_id in self._index:
-                self._removed_since_rebuild = True
-            self._graph = None
-            self._bump_epoch()
-        else:
-            self._graph.remove_node(node_id)
+        node.remove_liveness_watcher(self._on_liveness_change)
+        if node_id in self._index:
+            self._removed_since_rebuild = True
+        self._bump_epoch()
 
     def node(self, node_id: str) -> Node:
         try:
@@ -177,18 +152,13 @@ class Topology:
     def rebuild(self) -> None:
         """Recompute all edges from current positions and liveness.
 
-        Vector mode packs the live nodes into the position arena and
-        derives adjacency plus link-quality arrays from the broadcasted
-        pairwise distance matrix — O(n²) numpy work plus O(edges) exact
-        distance calls instead of O(n²) Python. Legacy mode runs the
-        original per-pair loop. Either way the epoch advances and every
-        cached neighbor/route answer is dropped.
+        Packs the live nodes into the position arena and derives adjacency
+        plus link-quality arrays from the broadcasted pairwise distance
+        matrix — O(n²) numpy work plus O(edges) exact distance calls
+        instead of O(n²) Python. The epoch advances and every cached
+        neighbor/route answer is dropped.
         """
-        if not self._vectorized:
-            self._legacy_rebuild()
-            return
         self._bump_epoch()
-        self._graph = None
         self._removed_since_rebuild = False
         alive = [n for n in self._nodes.values() if n.alive]
         self._arena_ids = tuple(n.node_id for n in alive)
@@ -229,14 +199,13 @@ class Topology:
         and bumps the epoch.
 
         Falls back to a full :meth:`rebuild` whenever the delta
-        assumptions do not hold: legacy mode, membership or liveness
+        assumptions do not hold: membership or liveness
         changes since the last rebuild (the arena rows no longer line up),
         or an arena too small to have a distance matrix.
         """
         alive_ids = tuple(n.node_id for n in self._nodes.values() if n.alive)
         if (
-            not self._vectorized
-            or self._dist is None
+            self._dist is None
             or self._removed_since_rebuild
             or alive_ids != self._arena_ids
         ):
@@ -247,7 +216,6 @@ class Topology:
             # Nothing in the arena moved; a no-op delta must still act
             # like a rebuild for cache invalidation purposes.
             self._bump_epoch()
-            self._graph = None
             return
         pos = self.positions
         for nid, i in ((nid, self._index[nid]) for nid in moved if nid in self._index):
@@ -292,26 +260,6 @@ class Topology:
             self._apply_blocked()
         self._edge_count = int(np.count_nonzero(self._adj)) // 2
         self._bump_epoch()
-        self._graph = None
-
-    def _legacy_rebuild(self) -> None:
-        """The original O(n²) pure-Python rebuild (A/B reference path)."""
-        self._bump_epoch()
-        self.graph.remove_edges_from(list(self.graph.edges))
-        alive = [n for n in self._nodes.values() if n.alive]
-        for i, a in enumerate(alive):
-            for b in alive[i + 1 :]:
-                if self._blocked and self._normalize_pair(
-                    a.node_id, b.node_id
-                ) in self._blocked:
-                    continue
-                if self.radio.in_range(a.position, b.position):
-                    bw = self.radio.bandwidth(a.position, b.position)
-                    loss = self.radio.loss_probability(a.position, b.position)
-                    self.graph.add_edge(
-                        a.node_id, b.node_id, bandwidth=bw, loss=loss,
-                        distance=a.distance_to(b),
-                    )
 
     # -- blocked-link overlay (partition faults) ---------------------------
 
@@ -326,7 +274,7 @@ class Topology:
         return frozenset(self._blocked)
 
     def _apply_blocked(self) -> None:
-        """Drop every overlaid pair from the vector adjacency (pairs
+        """Drop every overlaid pair from the adjacency (pairs
         naming absent/dead nodes are ignored — blocking is about links,
         not membership)."""
         self._bump_epoch()  # belt and braces: callers rebuild, but the
@@ -393,9 +341,9 @@ class Topology:
 
         ``rids``/``ridx`` map between node ids and dense indices covering
         every current node (isolated ones included); ``radj[i]`` lists
-        ``(neighbor index, hop cost)`` in networkx adjacency order with
-        zero-bandwidth links excluded (the ``weight -> None`` hidden
-        edges of the legacy path). Integer keys make the Dijkstra replay
+        ``(neighbor index, hop cost)`` in adjacency order with
+        zero-bandwidth links excluded (a weight function returning
+        ``None`` hides them). Integer keys make the Dijkstra replay
         several times faster than string-keyed dictionaries without
         touching its tie-breaking.
         """
@@ -425,8 +373,6 @@ class Topology:
         """Ids of live nodes in direct radio range of ``node_id``."""
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
-        if not self._vectorized:
-            return tuple(self.graph.neighbors(node_id))
         self._ensure_epoch_caches()
         return self._nbrs.get(node_id, ())
 
@@ -436,8 +382,6 @@ class Topology:
             raise UnknownNodeError(a)
         if b not in self._nodes:
             raise UnknownNodeError(b)
-        if not self._vectorized:
-            return self.graph.has_edge(a, b)
         i = self._index.get(a)
         j = self._index.get(b)
         if i is None or j is None:
@@ -452,16 +396,12 @@ class Topology:
         """
         if not self.connected(a, b):
             raise NotConnectedError(f"no link {a!r} <-> {b!r}")
-        if not self._vectorized:
-            return float(self.graph.edges[a, b]["bandwidth"])
         return float(self._bw[self._index[a], self._index[b]])
 
     def link_loss(self, a: str, b: str) -> float:
         """Direct-link loss probability."""
         if not self.connected(a, b):
             raise NotConnectedError(f"no link {a!r} <-> {b!r}")
-        if not self._vectorized:
-            return float(self.graph.edges[a, b]["loss"])
         return float(self._loss[self._index[a], self._index[b]])
 
     def edge_quality(self, a: str, b: str) -> Optional[Tuple[float, float]]:
@@ -470,9 +410,6 @@ class Topology:
         three — the channel model calls this per transmitted message."""
         if not self.connected(a, b):
             return None
-        if not self._vectorized:
-            data = self.graph.edges[a, b]
-            return float(data["bandwidth"]), float(data["loss"])
         i, j = self._index[a], self._index[b]
         return float(self._bw[i, j]), float(self._loss[i, j])
 
@@ -493,24 +430,21 @@ class Topology:
 
         ``k=1`` equals :meth:`neighbors`. Supports the relayed-CFP
         extension: the paper's broadcast is one-hop, but §1 explicitly
-        keeps larger infrastructures in scope. Vector mode answers from
-        the per-epoch BFS cache: the BFS discovery order is independent
+        keeps larger infrastructures in scope. Answers come from the
+        per-epoch BFS cache: the BFS discovery order is independent
         of the hop cutoff, so one cached traversal serves every ``k``.
         """
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
         if k < 1:
             return ()
-        if not self._vectorized:
-            lengths = nx.single_source_shortest_path_length(self.graph, node_id, cutoff=k)
-            return tuple(n for n in lengths if n != node_id)
         order = self._bfs_order(node_id)
         return tuple(n for n, level in order if level <= k and n != node_id)
 
     def _bfs_order(self, source: str) -> List[Tuple[str, int]]:
         """Full BFS ``(node, hop level)`` discovery order from ``source``,
-        replicating networkx's ``_single_shortest_path_length`` (level by
-        level, neighbors in adjacency order, first discovery wins)."""
+        level by level, neighbors in adjacency order, first discovery
+        wins."""
         self._ensure_epoch_caches()
         cached = self._bfs.get(source)
         if cached is not None:
@@ -541,7 +475,7 @@ class Topology:
         Edge weight is the per-hop communication cost (inverse normalized
         bandwidth). Returns the node sequence including both endpoints,
         or ``None`` when no path exists. ``a == b`` yields ``(a,)``.
-        Vector mode memoizes per ``(epoch, a, b)`` — the first query runs
+        Routes are memoized per ``(epoch, a, b)`` — the first query runs
         a bidirectional Dijkstra over precompiled hop costs (no Python
         weight callable, no attribute dictionaries), repeats are O(1).
         """
@@ -551,15 +485,6 @@ class Topology:
             raise UnknownNodeError(b)
         if a == b:
             return (a,)
-        if not self._vectorized:
-            try:
-                path = nx.shortest_path(
-                    self.graph, a, b,
-                    weight=lambda u, v, d: 1000.0 / d["bandwidth"] if d["bandwidth"] > 0 else None,
-                )
-            except nx.NetworkXNoPath:
-                return None
-            return tuple(path)
         self._ensure_epoch_caches()
         key = (a, b)
         if key in self._routes:
@@ -571,20 +496,20 @@ class Topology:
         return route
 
     def _bidirectional_dijkstra(self, source: str, target: str) -> Optional[Tuple[str, ...]]:
-        """Replay of networkx's ``bidirectional_dijkstra`` over the
-        precompiled integer-indexed routing adjacency — identical
-        alternation, heap tie-breaking (insertion counter) and meet-node
-        selection, so the returned route matches the legacy path even
-        when several routes tie on cost (common: links within half range
-        all cost the same).
+        """Bidirectional Dijkstra over the precompiled integer-indexed
+        routing adjacency: the directions alternate, heap ties break by
+        insertion counter and the meet node is the best seen so far —
+        exactly the reference algorithm (``benchmarks/
+        reference_topology.py``), so routes agree even when several tie
+        on cost (common: links within half range all cost the same).
         """
         rids, ridx, radj = self._routing_tables()
         src, dst = ridx[source], ridx[target]
         n = len(rids)
         # Per-direction state lives in flat arrays of length 2n (forward
         # at offset 0, backward at offset n): byte flags + value lists
-        # index faster than the string-keyed dictionaries networkx uses,
-        # while every comparison below mirrors its algorithm verbatim.
+        # index faster than string-keyed dictionaries, while every
+        # comparison below mirrors the reference algorithm verbatim.
         dist_flag = bytearray(2 * n)
         seen_flag = bytearray(2 * n)
         seen_val = [0.0] * (2 * n)
@@ -624,8 +549,8 @@ class Topology:
                 bw = base + w
                 if dist_flag[bw]:
                     # Already finalized in this direction; non-negative
-                    # weights make networkx's contradictory-path check
-                    # unreachable here.
+                    # weights make the reference's contradictory-path
+                    # check unreachable here.
                     continue
                 vw_dist = dist_v + cost
                 if not seen_flag[bw] or vw_dist < seen_val[bw]:
@@ -645,24 +570,20 @@ class Topology:
         """Per-hop communication cost of an existing edge, read straight
         from the cached edge data (no membership/connectivity re-checks —
         the route the caller just computed guarantees the edge exists)."""
-        if self._vectorized:
-            bw = float(self._bw[self._index[a], self._index[b]])
-        else:
-            bw = float(self.graph.edges[a, b]["bandwidth"])
+        bw = float(self._bw[self._index[a], self._index[b]])
         return 1000.0 / bw if bw > 0 else float("inf")
 
     def multihop_cost(self, a: str, b: str) -> float:
         """Communication cost of the best multi-hop route (sum of per-hop
         costs); ``inf`` when unreachable, 0 for ``a == b``."""
-        if self._vectorized:
-            if a not in self._nodes:
-                raise UnknownNodeError(a)
-            if b not in self._nodes:
-                raise UnknownNodeError(b)
-            self._ensure_epoch_caches()
-            cached = self._route_costs.get((a, b))
-            if cached is not None:
-                return cached
+        if a not in self._nodes:
+            raise UnknownNodeError(a)
+        if b not in self._nodes:
+            raise UnknownNodeError(b)
+        self._ensure_epoch_caches()
+        cached = self._route_costs.get((a, b))
+        if cached is not None:
+            return cached
         route = self.shortest_route(a, b)
         if route is None:
             total = float("inf")
@@ -670,67 +591,21 @@ class Topology:
             total = 0.0
             for u, v in zip(route, route[1:]):
                 total += self._hop_cost(u, v)
-        if self._vectorized:
-            if len(self._route_costs) >= ROUTE_CACHE_MAX:
-                self._route_costs.pop(next(iter(self._route_costs)))
-            self._route_costs[(a, b)] = total
+        if len(self._route_costs) >= ROUTE_CACHE_MAX:
+            self._route_costs.pop(next(iter(self._route_costs)))
+        self._route_costs[(a, b)] = total
         return total
 
     # -- analysis helpers ------------------------------------------------------
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The connectivity graph as a :mod:`networkx` object.
-
-        Legacy mode maintains it live; vector mode materializes it lazily
-        from the arena arrays (same node/edge insertion order and edge
-        attributes as the legacy rebuild) and treats it as a read-only
-        snapshot — it is dropped on the next rebuild or membership change.
-        """
-        if self._graph is None:
-            g = nx.Graph()
-            g.add_nodes_from(self._nodes)
-            ids = self._arena_ids
-            pos = self.positions
-            for i, a_id in enumerate(ids):
-                if a_id not in self._nodes:
-                    continue
-                row = np.nonzero(self._adj[i, i + 1 :])[0]
-                for off in row.tolist():
-                    j = i + 1 + off
-                    b_id = ids[j]
-                    if b_id not in self._nodes:
-                        continue
-                    dx = float(pos[i, 0]) - float(pos[j, 0])
-                    dy = float(pos[i, 1]) - float(pos[j, 1])
-                    g.add_edge(
-                        a_id, b_id,
-                        bandwidth=float(self._bw[i, j]),
-                        loss=float(self._loss[i, j]),
-                        # Legacy stored Node.distance_to at rebuild time,
-                        # which uses (dx*dx+dy*dy)**0.5 — NOT math.hypot;
-                        # the two differ in the last ulp. Keep this formula
-                        # (over the rebuild-time arena positions, not the
-                        # nodes' possibly-moved current ones) or the A/B
-                        # graph equality breaks.
-                        distance=(dx * dx + dy * dy) ** 0.5,
-                    )
-            self._graph = g
-        return self._graph
 
     def reachable_set(self, node_id: str) -> frozenset[str]:
         """All nodes reachable from ``node_id`` via multi-hop paths."""
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
-        if not self._vectorized:
-            return frozenset(nx.node_connected_component(self.graph, node_id))
         return frozenset(n for n, _ in self._bfs_order(node_id))
 
     def component_count(self) -> int:
         """Number of connected components among live nodes."""
-        if not self._vectorized:
-            alive = [n.node_id for n in self._nodes.values() if n.alive]
-            return nx.number_connected_components(self.graph.subgraph(alive))
         self._ensure_epoch_caches()
         alive = {nid for nid, n in self._nodes.items() if n.alive}
         seen: set = set()
@@ -754,11 +629,6 @@ class Topology:
 
     def average_degree(self) -> float:
         """Mean neighbor count over all registered nodes."""
-        if not self._vectorized:
-            n = self.graph.number_of_nodes()
-            if n == 0:
-                return 0.0
-            return 2.0 * self.graph.number_of_edges() / n
         n = len(self._nodes)
         if n == 0:
             return 0.0

@@ -11,28 +11,19 @@ the shared work-queue scheduler — into a sharded simulator:
   duck-typed ``Topology`` facade, with gateway election and
   cross-shard routing; gated by the :data:`USE_SHARDING` feature
   switch (``shard`` in :mod:`repro.features`);
-* :mod:`repro.shard.sharedmem` — read-only table publication across
-  scheduler workers (``multiprocessing.shared_memory`` with fork-page
-  reuse fallback);
 * :mod:`repro.shard.driver` — :class:`ShardedDriver` (streaming
   sessions with delta topology maintenance) and
   :func:`run_sharded_contention`, the sharded twin of
   :func:`repro.workloads.run_contention` — bit-identical to it on a
   single shard.
 
-See ``docs/sharding.md`` for the partitioning scheme, the gateway cost
-model and the shared-memory lifecycle.
+See ``docs/sharding.md`` for the partitioning scheme and the gateway
+cost model.
 """
 
 from repro.shard.cluster import USE_SHARDING, ShardedCluster
-from repro.shard.driver import (
-    ShardedDriver,
-    fleet_from_tables,
-    fleet_tables,
-    run_sharded_contention,
-)
+from repro.shard.driver import ShardedDriver, run_sharded_contention
 from repro.shard.partition import DEFAULT_SHARD_OCCUPANCY, ShardGrid
-from repro.shard.sharedmem import SharedTables, attach, publish, release
 
 __all__ = [
     "USE_SHARDING",
@@ -40,11 +31,5 @@ __all__ = [
     "ShardedDriver",
     "ShardGrid",
     "DEFAULT_SHARD_OCCUPANCY",
-    "SharedTables",
-    "attach",
-    "publish",
-    "release",
-    "fleet_tables",
-    "fleet_from_tables",
     "run_sharded_contention",
 ]

@@ -41,7 +41,7 @@ from repro.shard.partition import ShardGrid
 #: Feature switch (see :mod:`repro.features`): when ``False``, every
 #: :class:`ShardedCluster` collapses its grid to 1 × 1 at construction —
 #: one shard holding the whole fleet, i.e. the unsharded semantics.
-#: Snapshotted once per constructed cluster, like ``USE_VECTOR_TOPOLOGY``.
+#: Snapshotted once per constructed cluster.
 USE_SHARDING = True
 
 

@@ -17,37 +17,25 @@ driver's post-crash ``rebuild()`` touches only the dirty shard.
 ``fleet`` / ``placement`` / ``arrivals:req<k>`` / ``failures`` /
 ``mobility`` consumption order — which is what makes a 1 × 1 grid run
 bit-identical to the unsharded path (pinned in ``tests/test_shard.py``).
-The fleet/placement draws can alternatively come from precomputed
-read-only tables (:func:`fleet_tables`, published once per sweep point
-via :mod:`repro.shard.sharedmem` and attached by every scheduler
-worker): the tables are a pure function of the same streams, so either
-source yields the same cluster.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from repro.resources.node import Node, NodeClass
+from repro.resources.node import Node
 from repro.resources.provider import QoSProvider
 from repro.sessions.driver import SessionDriver
 from repro.shard.cluster import ShardedCluster
 from repro.shard.partition import ShardGrid
 from repro.sim.rng import RngRegistry
 from repro.workloads.contention import (
-    USE_SESSION_DRIVER,
     ContentionConfig,
     ContentionResult,
     _run_admission_only,
     _run_streaming,
     merge_arrival_events,
 )
-
-#: Stable integer coding of node classes for the fleet tables.
-NODE_CLASSES: Tuple[NodeClass, ...] = tuple(NodeClass)
-_CLASS_INDEX = {cls: i for i, cls in enumerate(NODE_CLASSES)}
 
 
 class ShardedDriver(SessionDriver):
@@ -74,7 +62,7 @@ class ShardedDriver(SessionDriver):
         self.engine.schedule(dt, _tick)
 
 
-# -- fleet tables (shared-memory publication unit) --------------------------
+# -- the seeded fleet ---------------------------------------------------------
 
 
 def _cluster_config(config: ContentionConfig):
@@ -108,52 +96,6 @@ def _seeded_fleet(
     return nodes
 
 
-def fleet_tables(seed: int, config: ContentionConfig) -> Dict[str, np.ndarray]:
-    """The read-only tables describing one seed's fleet: per-node class
-    indices (into :data:`NODE_CLASSES`) and placed positions, in fleet
-    order. A pure function of the seed's ``fleet``/``placement`` streams
-    — rebuilding nodes from these tables yields the same cluster as
-    drawing them live."""
-    nodes = _seeded_fleet(RngRegistry(seed), config)
-    classes = np.fromiter(
-        (_CLASS_INDEX[n.node_class] for n in nodes), dtype=np.int8, count=len(nodes)
-    )
-    positions = np.asarray([n.position for n in nodes], dtype=np.float64)
-    return {"classes": classes, "positions": positions}
-
-
-def fleet_from_tables(
-    config: ContentionConfig,
-    classes: np.ndarray,
-    positions: np.ndarray,
-) -> List[Node]:
-    """Rebuild the (cheap, mutable) node fleet from published tables.
-
-    Node ids follow the fleet rule — ``req0..req{K-1}`` then ``n0...`` —
-    and each node gets its class profile's fresh capacity/energy state;
-    only the *derivation* of classes and positions is skipped.
-    """
-    if len(classes) != config.n_nodes or positions.shape != (config.n_nodes, 2):
-        raise ValueError(
-            f"fleet tables shaped for {len(classes)} nodes, "
-            f"config wants {config.n_nodes}"
-        )
-    nodes: List[Node] = []
-    for i in range(config.n_nodes):
-        if i < config.n_requesters:
-            node_id = f"req{i}"
-        else:
-            node_id = f"n{i - config.n_requesters}"
-        nodes.append(
-            Node(
-                node_id,
-                node_class=NODE_CLASSES[int(classes[i])],
-                position=(float(positions[i, 0]), float(positions[i, 1])),
-            )
-        )
-    return nodes
-
-
 # -- the sharded runner ------------------------------------------------------
 
 
@@ -161,7 +103,6 @@ def run_sharded_contention(
     seed: int,
     config: Optional[ContentionConfig] = None,
     grid: Optional[ShardGrid] = None,
-    tables: Optional[Dict[str, np.ndarray]] = None,
     backhaul_hop_cost: Optional[float] = None,
 ) -> ContentionResult:
     """Run one contention scenario on a spatially sharded cluster.
@@ -174,14 +115,10 @@ def run_sharded_contention(
     single shard the results are bit-identical to the unsharded runner.
 
     Args:
-        seed: Master seed; the run is a pure function of it (and of
-            ``tables``, themselves a pure function of the seed).
+        seed: Master seed; the run is a pure function of it.
         config: The contention configuration (default-constructed when
             omitted, like the unsharded runner).
         grid: Spatial partition override.
-        tables: Optional precomputed :func:`fleet_tables` bundle (any
-            mapping with ``"classes"``/``"positions"``); skips the
-            fleet/placement draws without changing the outcome.
         backhaul_hop_cost: Gateway backhaul cost override
             (see :class:`ShardedCluster`).
     """
@@ -190,10 +127,7 @@ def run_sharded_contention(
     if config is None:
         config = ContentionConfig()
     registry = RngRegistry(seed)
-    if tables is None:
-        nodes = _seeded_fleet(registry, config)
-    else:
-        nodes = fleet_from_tables(config, tables["classes"], tables["positions"])
+    nodes = _seeded_fleet(registry, config)
     providers = {n.node_id: QoSProvider(n) for n in nodes}
     if grid is None:
         grid = ShardGrid.auto(config.area, config.radio_range, config.n_nodes)
@@ -204,7 +138,7 @@ def run_sharded_contention(
         backhaul_hop_cost=backhaul_hop_cost,
     )
     events, family_of = merge_arrival_events(config, registry)
-    if config.sessions.operate and USE_SESSION_DRIVER:
+    if config.sessions.operate:
         return _run_streaming(
             config, registry, cluster, providers, nodes, events, family_of,
             driver_cls=ShardedDriver,

@@ -43,9 +43,8 @@ the experiment layer at module scope (the suites import us; see the
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,12 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.experiments.config import ClusterConfig
     from repro.faults.plan import FaultPlan
     from repro.faults.report import ResilienceReport
-
-#: Feature switch (see :mod:`repro.features`): when ``False``, configs
-#: with ``sessions.operate=True`` fall back to the admission-only loop.
-#: Snapshotted once per :func:`run_contention` call.
-USE_SESSION_DRIVER = True
-
 
 def requester_id(k: int) -> str:
     """Node id of the ``k``-th requester (``req0``, ``req1``, ...)."""
@@ -303,25 +296,8 @@ def build_contention_cluster(
     return topology, providers, nodes
 
 
-_LEGACY_KWARGS = (
-    "n_requesters", "families", "arrival", "horizon", "n_nodes",
-    "area", "radio_range", "requester_class", "mix",
-)
-
-
 def run_contention(
-    seed: int,
-    config: Optional[ContentionConfig] = None,
-    *,
-    n_requesters: Optional[int] = None,
-    families: Optional[Sequence[str]] = None,
-    arrival: Optional[ArrivalProcess] = None,
-    horizon: Optional[float] = None,
-    n_nodes: Optional[int] = None,
-    area: Optional[float] = None,
-    radio_range: Optional[float] = None,
-    requester_class: Optional[NodeClass] = None,
-    mix: Optional[str] = None,
+    seed: int, config: Optional[ContentionConfig] = None
 ) -> ContentionResult:
     """Run one contention scenario.
 
@@ -331,44 +307,12 @@ def run_contention(
             (``ContentionConfig()`` if omitted). The embedded
             :class:`~repro.sessions.SessionPolicy` selects
             admission-only vs streaming mode.
-        **legacy keywords**: The pre-config keyword surface
-            (``n_requesters=...``, ``families=...``, …) is still
-            accepted — it builds the equivalent config and emits a
-            :class:`DeprecationWarning`. Mixing ``config`` with legacy
-            keywords raises ``TypeError``.
 
     Returns:
         The :class:`ContentionResult` with per-session outcomes.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("n_requesters", n_requesters),
-            ("families", families),
-            ("arrival", arrival),
-            ("horizon", horizon),
-            ("n_nodes", n_nodes),
-            ("area", area),
-            ("radio_range", radio_range),
-            ("requester_class", requester_class),
-            ("mix", mix),
-        )
-        if value is not None
-    }
-    if config is not None and legacy:
-        raise TypeError(
-            "pass either a ContentionConfig or legacy keyword arguments, "
-            f"not both (got config and {sorted(legacy)})"
-        )
     if config is None:
-        if legacy:
-            warnings.warn(
-                "run_contention(seed, n_requesters=..., ...) is deprecated; "
-                "pass run_contention(seed, ContentionConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        config = ContentionConfig(**legacy)
+        config = ContentionConfig()
 
     # Lazy: keep repro.workloads importable without the experiment layer.
     from repro.experiments.config import FLEET_MIXES, ClusterConfig
@@ -387,9 +331,7 @@ def run_contention(
 
     events, family_of = merge_arrival_events(config, registry)
 
-    # Snapshot the feature switch once: a run is all-driver or
-    # all-legacy, never mixed.
-    if config.sessions.operate and USE_SESSION_DRIVER:
+    if config.sessions.operate:
         return _run_streaming(
             config, registry, topology, providers, nodes, events, family_of
         )

@@ -162,7 +162,8 @@ def test_award_falls_through_on_refuse():
 
 def test_step_mobility_rebuilds_topology():
     system = _system()
-    before = system.topology.graph.number_of_edges()
+    before = system.topology.average_degree()
     system.nodes["lap0"].move_to(5000, 5000)
     system.step_mobility(0.0)
     assert system.topology.neighbors("lap0") == ()
+    assert system.topology.average_degree() < before

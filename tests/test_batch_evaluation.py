@@ -5,11 +5,12 @@ Three layers of guarantees:
 1. ``BatchProposalEvaluator`` equals ``ProposalEvaluator.distance``
    **exactly** (``==``, not approx) on randomized proposals, for the
    requests of every service family and both ``normalize_by`` modes;
-2. whole negotiations — synchronous driver and agent-based protocol —
-   produce identical outcomes with ``USE_BATCH_EVALUATION`` on and off;
-3. suite tables (E4's agent path, E15's contention path) are
-   bit-identical before/after the batched rewire, extending the
-   parallel==serial pattern of ``tests/test_scheduler.py``.
+2. whole synchronous negotiations produce the outcomes the scalar
+   per-proposal path produced (``tests/data/negotiation_golden.json``,
+   recorded with that path before it was removed);
+3. suite tables (E4's agent path, E15/E16's contention path) are
+   bit-identical to the tables recorded from the scalar path, extending
+   the parallel==serial pattern of ``tests/test_scheduler.py``.
 
 Plus the message-count pin: the synchronous driver's ``message_count``
 must equal what the agent-based organizer actually sends.
@@ -17,9 +18,11 @@ must equal what the agent-based organizer actually sends.
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
-import repro.core.negotiation as negotiation_module
 from repro.agents.system import AgentSystem
 from repro.core.evaluation import (
     BatchProposalEvaluator,
@@ -30,6 +33,7 @@ from repro.core.negotiation import negotiate
 from repro.core.proposal import Proposal
 from repro.errors import DomainError, NegotiationError, UnknownNodeError
 from repro.experiments.config import ClusterConfig, SweepConfig
+from repro.experiments.reporting import Table
 from repro.experiments.scenario import build_cluster
 from repro.experiments.suites import ALL_SUITES
 from repro.network.radio import DiscRadio
@@ -42,6 +46,10 @@ from repro.services import workload
 from repro.sim.rng import RngRegistry
 from repro.sim.sequences import reset_all_sequences
 from repro.workloads.services import SERVICE_FAMILIES, build_service
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "negotiation_golden.json").read_text()
+)
 
 
 def _family_requests():
@@ -135,7 +143,7 @@ def test_batch_empty_and_error_parity():
         batch.distances([Proposal(task_id="t", node_id="n", values=bad_values)])
 
 
-# -- whole-negotiation A/B: batched vs scalar step 3 ------------------------
+# -- whole negotiations: batched step 3 vs the recorded scalar outcomes -----
 
 
 def _run_sync(seed: int) -> dict:
@@ -156,7 +164,7 @@ def _run_sync(seed: int) -> dict:
     return {
         "members": sorted(outcome.coalition.members),
         "awards": {
-            stable(tid): (a.node_id, a.distance, a.comm_cost)
+            stable(tid): [a.node_id, a.distance, a.comm_cost]
             for tid, a in outcome.coalition.awards.items()
         },
         "unallocated": [stable(tid) for tid in outcome.unallocated],
@@ -164,22 +172,17 @@ def _run_sync(seed: int) -> dict:
     }
 
 
-def test_negotiate_identical_with_and_without_batching(monkeypatch):
-    batched = [_run_sync(seed) for seed in (1, 2, 3)]
-    monkeypatch.setattr(negotiation_module, "USE_BATCH_EVALUATION", False)
-    scalar = [_run_sync(seed) for seed in (1, 2, 3)]
-    assert batched == scalar
+def test_negotiate_identical_with_and_without_batching():
+    assert {str(seed): _run_sync(seed) for seed in (1, 2, 3)} == GOLDEN["sync"]
 
 
-@pytest.mark.parametrize("suite", ["E4", "E15"])
-def test_suite_tables_bit_identical_with_and_without_batching(suite, monkeypatch):
-    """The rewire acceptance bar: whole suite tables, agent path (E4)
-    and contention path (E15), equal cell for cell."""
+@pytest.mark.parametrize("suite", ["E4", "E15", "E16"])
+def test_suite_tables_bit_identical_with_and_without_batching(suite):
+    """The rewire acceptance bar: whole quick suite tables, agent path
+    (E4) and contention path (E15/E16), equal the scalar-path tables
+    cell for cell."""
     sweep = SweepConfig(seeds=(1, 2), quick=True, jobs=1)
-    with_batch = ALL_SUITES[suite](sweep)
-    monkeypatch.setattr(negotiation_module, "USE_BATCH_EVALUATION", False)
-    without_batch = ALL_SUITES[suite](sweep)
-    assert with_batch == without_batch
+    assert ALL_SUITES[suite](sweep) == Table.from_dict(GOLDEN["tables"][suite])
 
 
 # -- message-count pin: synchronous driver vs agent-based protocol ----------

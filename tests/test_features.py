@@ -2,25 +2,15 @@
 
 import pytest
 
-import repro.core.negotiation as negotiation
+import repro.faults.injector as injector
 import repro.features as features
-import repro.network.topology as topology_mod
-import repro.workloads.contention as contention
+import repro.shard.cluster as cluster
 
 
 def test_registry_names_and_defaults():
-    assert set(features.FEATURES) == {
-        "batch-evaluation", "vector-topology", "session-driver", "shard",
-        "faults",
-    }
-    # Every fast path ships enabled.
-    assert features.snapshot() == {
-        "batch-evaluation": True,
-        "vector-topology": True,
-        "session-driver": True,
-        "shard": True,
-        "faults": True,
-    }
+    assert list(features.FEATURES) == ["shard", "faults"]
+    # Every subsystem ships enabled.
+    assert features.snapshot() == {"shard": True, "faults": True}
 
 
 def test_unknown_feature_raises():
@@ -33,9 +23,8 @@ def test_unknown_feature_raises():
 @pytest.mark.parametrize(
     "name, module, attribute",
     [
-        ("batch-evaluation", negotiation, "USE_BATCH_EVALUATION"),
-        ("vector-topology", topology_mod, "USE_VECTOR_TOPOLOGY"),
-        ("session-driver", contention, "USE_SESSION_DRIVER"),
+        ("shard", cluster, "USE_SHARDING"),
+        ("faults", injector, "USE_FAULTS"),
     ],
 )
 def test_set_enabled_delegates_to_module_global(name, module, attribute):
@@ -53,19 +42,19 @@ def test_set_enabled_delegates_to_module_global(name, module, attribute):
 def test_monkeypatched_global_is_visible_to_registry(monkeypatch):
     # The two styles compose: tests that patch the module global
     # directly are seen by the registry, and vice versa.
-    monkeypatch.setattr(negotiation, "USE_BATCH_EVALUATION", False)
-    assert features.is_enabled("batch-evaluation") is False
+    monkeypatch.setattr(cluster, "USE_SHARDING", False)
+    assert features.is_enabled("shard") is False
 
 
 def test_override_restores_on_exit_and_on_error():
-    assert features.is_enabled("session-driver") is True
-    with features.override("session-driver", False):
-        assert contention.USE_SESSION_DRIVER is False
-    assert contention.USE_SESSION_DRIVER is True
+    assert features.is_enabled("faults") is True
+    with features.override("faults", False):
+        assert injector.USE_FAULTS is False
+    assert injector.USE_FAULTS is True
     with pytest.raises(RuntimeError):
-        with features.override("session-driver", False):
+        with features.override("faults", False):
             raise RuntimeError("boom")
-    assert contention.USE_SESSION_DRIVER is True
+    assert injector.USE_FAULTS is True
 
 
 def test_describe_lists_every_switch():
@@ -73,34 +62,3 @@ def test_describe_lists_every_switch():
     for name in features.FEATURES:
         assert name in text
 
-
-def test_negotiate_snapshots_batch_switch_at_entry():
-    # score_admissible honors an explicit use_batch pin regardless of
-    # the global — the mechanism negotiate() uses to keep one run on
-    # one path.
-    import inspect
-    sig = inspect.signature(negotiation.score_admissible)
-    assert "use_batch" in sig.parameters
-    src = inspect.getsource(negotiation.negotiate)
-    assert "use_batch = USE_BATCH_EVALUATION" in src
-
-
-def test_session_driver_switch_falls_back_to_admission_only(monkeypatch):
-    from repro.sessions import SessionPolicy
-    from repro.workloads.contention import ContentionConfig, run_contention
-
-    config = ContentionConfig(
-        n_requesters=2, horizon=120.0,
-        sessions=SessionPolicy(operate=True),
-    )
-    streaming = run_contention(7, config)
-    monkeypatch.setattr(contention, "USE_SESSION_DRIVER", False)
-    legacy = run_contention(7, config)
-    baseline = run_contention(7, ContentionConfig(n_requesters=2, horizon=120.0))
-    # With the switch off, operate=True behaves exactly like the
-    # admission-only loop...
-    assert legacy.sessions == baseline.sessions
-    # ...while both modes see identical arrivals (independent streams).
-    assert [s.arrival for s in streaming.sessions] == [
-        s.arrival for s in legacy.sessions
-    ]

@@ -377,23 +377,7 @@ def test_concurrent_sessions_interleave_on_one_engine():
     assert _all_released(providers)
 
 
-# -- run_contention: config object and deprecation shim ---------------------
-
-
-def test_legacy_kwargs_warn_and_match_config_exactly():
-    """The shim's bar: the old keyword surface is a pure spelling of the
-    new config — bit-identical outcomes, plus a DeprecationWarning."""
-    config = ContentionConfig(n_requesters=2, horizon=120.0, n_nodes=12)
-    via_config = run_contention(11, config)
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        via_legacy = run_contention(11, n_requesters=2, horizon=120.0, n_nodes=12)
-    assert via_legacy.sessions == via_config.sessions
-    assert via_legacy.metrics() == via_config.metrics()
-
-
-def test_config_plus_legacy_kwargs_is_an_error():
-    with pytest.raises(TypeError, match="not both"):
-        run_contention(1, ContentionConfig(), n_requesters=2)
+# -- run_contention: config object -------------------------------------------
 
 
 def test_config_normalizes_arrival_and_validates():

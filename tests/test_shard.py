@@ -1,5 +1,5 @@
 """The repro.shard subsystem: partitioning, gateways, delta rebuilds,
-shared tables, and the shard-vs-unsharded bit-identity pin.
+and the shard-vs-unsharded bit-identity pin.
 
 The headline contract: on a 1 × 1 grid (which :meth:`ShardGrid.auto`
 produces for every historical scenario scale) the sharded runner is
@@ -7,8 +7,7 @@ produces for every historical scenario scale) the sharded runner is
 sessions, same metrics, in both admission-only (E15) and streaming
 (E20) modes. Everything else here exercises what sharding adds: gateway
 election and cross-shard routing, cell migration under mobility, the
-delta-rebuild fast path, the per-epoch cache caps, and the
-shared-memory fleet tables.
+delta-rebuild fast path and the per-epoch cache caps.
 """
 
 from __future__ import annotations
@@ -22,14 +21,7 @@ from repro.errors import NotConnectedError, UnknownNodeError
 from repro.network.radio import DiscRadio
 from repro.network.topology import Topology
 from repro.resources.node import Node
-from repro.shard import (
-    ShardedCluster,
-    ShardGrid,
-    fleet_from_tables,
-    fleet_tables,
-    run_sharded_contention,
-)
-from repro.shard import sharedmem
+from repro.shard import ShardedCluster, ShardGrid, run_sharded_contention
 from repro.shard.driver import _seeded_fleet
 from repro.sim.rng import RngRegistry
 from repro.sim.sequences import reset_all_sequences
@@ -124,17 +116,6 @@ def test_sharded_bit_identical_to_unsharded(label, config):
         sharded = run_sharded_contention(seed, config)
         assert plain.sessions == sharded.sessions, (label, seed)
         assert plain.metrics() == sharded.metrics(), (label, seed)
-
-
-def test_sharded_run_with_tables_bit_identical():
-    """Precomputed fleet tables change who derives the fleet, never the
-    result."""
-    config = get_scenario("streaming-mix").replace(horizon=120.0).contention_config()
-    reset_all_sequences()
-    live = run_sharded_contention(5, config)
-    reset_all_sequences()
-    tabled = run_sharded_contention(5, config, tables=fleet_tables(5, config))
-    assert live.sessions == tabled.sessions
 
 
 # ==========================================================================
@@ -395,75 +376,6 @@ class TestCacheCaps:
         assert len(topo._bfs) <= 3
         for nid, expected in khop.items():
             assert topo.khop_neighbors(nid, 2) == expected
-
-
-# ==========================================================================
-# Shared tables
-# ==========================================================================
-
-
-class TestSharedMem:
-    def _tables(self):
-        return {
-            "classes": np.arange(8, dtype=np.int8),
-            "positions": np.arange(16, dtype=np.float64).reshape(8, 2),
-        }
-
-    @pytest.mark.parametrize("backend", ["shm", "fork"])
-    def test_publish_attach_round_trip(self, backend):
-        name = f"test-roundtrip-{backend}"
-        try:
-            if backend == "shm" and sharedmem._shm is None:
-                pytest.skip("no shared_memory support")
-            bundle = sharedmem.publish(name, self._tables(), backend=backend)
-            assert bundle.backend == backend
-            attached = sharedmem.attach(name)
-            assert attached.keys() == ("classes", "positions")
-            for key, original in self._tables().items():
-                np.testing.assert_array_equal(attached[key], original)
-                with pytest.raises(ValueError):
-                    attached[key][0] = 0  # read-only views
-            assert name in sharedmem.published()
-        finally:
-            sharedmem.release(name)
-        assert name not in sharedmem.published()
-        with pytest.raises(KeyError):
-            sharedmem.attach(name)
-
-    def test_republish_replaces(self):
-        name = "test-republish"
-        try:
-            sharedmem.publish(name, {"x": np.zeros(4)})
-            sharedmem.publish(name, {"x": np.ones(4)})
-            np.testing.assert_array_equal(sharedmem.attach(name)["x"], np.ones(4))
-        finally:
-            sharedmem.release(name)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            sharedmem.publish("test-bad", {}, backend="magic")
-
-
-class TestFleetTables:
-    def test_tables_reproduce_the_live_fleet(self):
-        config = get_scenario("contention-mix").contention_config()
-        tables = fleet_tables(9, config)
-        rebuilt = fleet_from_tables(
-            config, tables["classes"], tables["positions"]
-        )
-        live = _seeded_fleet(RngRegistry(9), config)
-        assert [n.node_id for n in rebuilt] == [n.node_id for n in live]
-        assert [n.node_class for n in rebuilt] == [n.node_class for n in live]
-        assert [n.position for n in rebuilt] == [n.position for n in live]
-
-    def test_shape_mismatch_rejected(self):
-        config = get_scenario("contention-mix").contention_config()
-        tables = fleet_tables(9, config)
-        with pytest.raises(ValueError):
-            fleet_from_tables(
-                config.replace(n_nodes=config.n_nodes + 1),
-                tables["classes"], tables["positions"],
-            )
 
 
 # ==========================================================================

@@ -6,11 +6,14 @@ Three families of guarantees are pinned here:
   *elementwise, bit for bit* with the scalar curves on random placements
   (both the broadcasting `DiscRadio` overrides and the generic
   scalar-fallback base implementations);
-* **A/B equivalence** — a vector-mode :class:`Topology` and a legacy
-  networkx-mode one (``USE_VECTOR_TOPOLOGY = False``) answer every query
-  identically on random placements: neighbor order, link qualities,
-  shortest routes (including tie-rich dense clusters), k-hop orders,
-  analysis helpers and the materialized graph;
+* **reference and golden equivalence** — the arena :class:`Topology`
+  and the pure-Python :class:`ReferenceTopology`
+  (``benchmarks/reference_topology.py``) answer every query identically
+  on random placements: neighbor order, link qualities, shortest routes
+  (including tie-rich dense clusters), k-hop orders and the analysis
+  helpers. ``tests/data/topology_golden.json`` pins both to the answers
+  the original graph-library implementation gave on the same placements
+  (recorded before that implementation was removed);
 * **epochs** — neighbor/route caches refresh after ``add_node``,
   ``remove_node``, node death and ``rebuild()``, and the epoch counter
   observes liveness flips the moment they happen.
@@ -22,10 +25,13 @@ reference replays of the original scalar walks, and the engine's O(1)
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-import repro.network.topology as topology_mod
+from benchmarks.reference_topology import ReferenceTopology
 from repro.errors import UnknownNodeError
 from repro.network.geometry import clamp_to_area, distance, lerp, pairwise_distances
 from repro.network.mobility import GroupMobility, RandomWaypoint
@@ -34,33 +40,61 @@ from repro.network.topology import Topology
 from repro.resources.node import Node
 from repro.sim.engine import Engine
 
-
-def _random_nodes(n, area, rng, prefix="n"):
-    return [
-        Node(f"{prefix}{i}", position=(rng.uniform(0, area), rng.uniform(0, area)))
-        for i in range(n)
-    ]
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "topology_golden.json").read_text()
+)
 
 
-def _build_pair(n, area, seed, range_m=100.0, radio=None):
-    """Identical fleets under a vector-mode and a legacy-mode topology."""
-    mk_radio = (lambda: radio) if radio is not None else (
-        lambda: DiscRadio(range_m=range_m)
-    )
+def _placements(n, area, seed):
     rng = np.random.default_rng(seed)
-    placements = [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(n)]
-    fleets = []
-    topos = []
-    for vectorized in (True, False):
-        nodes = [Node(f"n{i}", position=p) for i, p in enumerate(placements)]
-        old = topology_mod.USE_VECTOR_TOPOLOGY
-        topology_mod.USE_VECTOR_TOPOLOGY = vectorized
-        try:
-            topos.append(Topology(nodes, mk_radio()))
-        finally:
-            topology_mod.USE_VECTOR_TOPOLOGY = old
-        fleets.append(nodes)
-    return topos[0], topos[1], fleets[0], fleets[1]
+    return [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(n)]
+
+
+def _build_pair(n, area, seed, range_m=100.0):
+    """Identical fleets under the arena topology and the reference."""
+    placements = _placements(n, area, seed)
+    fleets = [[Node(f"n{i}", position=p) for i, p in enumerate(placements)]
+              for _ in range(2)]
+    radio = DiscRadio(range_m=range_m)
+    return (Topology(fleets[0], radio), ReferenceTopology(fleets[1], radio),
+            fleets[0], fleets[1])
+
+
+def _names(indices):
+    return tuple(f"n{i}" for i in indices)
+
+
+def _assert_golden_routes(topo, golden, n):
+    """All-pairs routes and accumulated costs equal the recorded ones
+    (``None`` records an unreachable pair, i.e. an infinite cost)."""
+    for i in range(n):
+        for j in range(n):
+            a, b = f"n{i}", f"n{j}"
+            route = golden["routes"][i][j]
+            assert topo.shortest_route(a, b) == (
+                None if route is None else _names(route)), (a, b)
+            cost = golden["costs"][i][j]
+            assert topo.multihop_cost(a, b) == (
+                float("inf") if cost is None else cost), (a, b)
+
+
+def _assert_golden(topo, golden, n):
+    """Every recorded answer of one placement: neighbors, k-hop orders,
+    link qualities, routes, costs and the analysis helpers."""
+    for i in range(n):
+        a = f"n{i}"
+        assert topo.neighbors(a) == _names(golden["neighbors"][i]), a
+        for k, orders in golden["khop"].items():
+            assert topo.khop_neighbors(a, int(k)) == _names(orders[i]), (a, k)
+    links = 0
+    for i, j, bw, loss, _distance in golden["links"]:
+        a, b = f"n{i}", f"n{j}"
+        assert topo.edge_quality(a, b) == (bw, loss) == topo.edge_quality(b, a)
+        links += 1
+    assert sum(len(topo.neighbors(f"n{i}")) for i in range(n)) == 2 * links
+    _assert_golden_routes(topo, golden, n)
+    assert topo.component_count() == golden["components"]
+    assert topo.average_degree() == golden["average_degree"]
 
 
 # -- radio matrices (property: vectorized == scalar, elementwise) -----------
@@ -135,7 +169,7 @@ def test_pairwise_distances_exact_within_threshold():
                 assert dist[i, j] == expected
 
 
-# -- A/B equivalence: vector arena vs legacy networkx ------------------------
+# -- equivalence: arena vs reference vs golden ------------------------------
 
 
 @pytest.mark.parametrize("area,seed", [
@@ -145,71 +179,88 @@ def test_pairwise_distances_exact_within_threshold():
     (800.0, 4),   # mostly disconnected
 ])
 def test_vector_matches_legacy_on_random_placements(area, seed):
-    vec, leg, _, _ = _build_pair(32, area, seed)
+    vec, ref, _, _ = _build_pair(32, area, seed)
     ids = [f"n{i}" for i in range(32)]
     for a in ids:
-        assert vec.neighbors(a) == leg.neighbors(a)
-        assert vec.reachable_set(a) == leg.reachable_set(a)
+        assert vec.neighbors(a) == ref.neighbors(a)
+        assert vec.reachable_set(a) == ref.reachable_set(a)
         for k in (1, 2, 3, 6):
-            assert vec.khop_neighbors(a, k) == leg.khop_neighbors(a, k)
+            assert vec.khop_neighbors(a, k) == ref.khop_neighbors(a, k)
     for a in ids:
         for b in ids:
-            assert vec.connected(a, b) == leg.connected(a, b)
+            assert vec.connected(a, b) == ref.connected(a, b)
             if vec.connected(a, b):
-                assert vec.link_bandwidth(a, b) == leg.link_bandwidth(a, b)
-                assert vec.link_loss(a, b) == leg.link_loss(a, b)
-                assert vec.edge_quality(a, b) == leg.edge_quality(a, b)
-                assert vec.communication_cost(a, b) == leg.communication_cost(a, b)
+                assert vec.link_bandwidth(a, b) == ref.link_bandwidth(a, b)
+                assert vec.link_loss(a, b) == ref.link_loss(a, b)
+                assert vec.edge_quality(a, b) == ref.edge_quality(a, b)
+                assert vec.communication_cost(a, b) == ref.communication_cost(a, b)
             else:
                 assert vec.edge_quality(a, b) is None
-            assert vec.shortest_route(a, b) == leg.shortest_route(a, b)
-            cv, cl = vec.multihop_cost(a, b), leg.multihop_cost(a, b)
-            assert cv == cl or (cv == float("inf") and cl == float("inf"))
-    assert vec.component_count() == leg.component_count()
-    assert vec.average_degree() == leg.average_degree()
+            assert vec.shortest_route(a, b) == ref.shortest_route(a, b)
+            assert vec.multihop_cost(a, b) == ref.multihop_cost(a, b)
+    assert vec.component_count() == ref.component_count()
+    assert vec.average_degree() == ref.average_degree()
+    golden = GOLDEN["placements"][f"32@{area:g}/{seed}"]
+    _assert_golden(vec, golden, 32)
+    _assert_golden(ref, golden, 32)
 
 
-def test_materialized_graph_matches_legacy():
-    vec, leg, _, _ = _build_pair(24, 260.0, 11)
-    g_vec, g_leg = vec.graph, leg.graph
-    assert list(g_vec.nodes) == list(g_leg.nodes)
-    assert list(g_vec.edges) == list(g_leg.edges)
-    for u, v in g_leg.edges:
-        for attr in ("bandwidth", "loss", "distance"):
-            assert g_vec.edges[u, v][attr] == g_leg.edges[u, v][attr]
+def test_edge_list_matches_legacy():
+    """Links come out in the recorded order with the recorded bandwidth,
+    loss and (reference only) distance attributes."""
+    vec, ref, _, _ = _build_pair(24, 260.0, 11)
+    golden = GOLDEN["placements"]["24@260/11"]
+    recorded = [(f"n{i}", f"n{j}", bw, loss, d) for i, j, bw, loss, d in golden["links"]]
+    assert [
+        (u, v, e["bandwidth"], e["loss"], e["distance"]) for u, v, e in ref.edges()
+    ] == recorded
+    seen = set()
+    arena_edges = []
+    for i in range(24):
+        u = f"n{i}"
+        seen.add(u)
+        arena_edges.extend(
+            (u, v, *vec.edge_quality(u, v)) for v in vec.neighbors(u) if v not in seen
+        )
+    assert arena_edges == [edge[:4] for edge in recorded]
+    _assert_golden(vec, golden, 24)
 
 
 def test_vector_matches_legacy_after_mobility_rebuilds():
-    vec, leg, fleet_v, fleet_l = _build_pair(20, 300.0, 7)
+    vec, ref, fleet_v, fleet_r = _build_pair(20, 300.0, 7)
     move_rng = np.random.default_rng(21)
-    for _ in range(5):
-        for nv, nl in zip(fleet_v, fleet_l):
+    for golden in GOLDEN["mobility"]:
+        for nv, nr in zip(fleet_v, fleet_r):
             x, y = move_rng.uniform(0, 300), move_rng.uniform(0, 300)
             nv.move_to(x, y)
-            nl.move_to(x, y)
+            nr.move_to(x, y)
         vec.rebuild()
-        leg.rebuild()
+        ref.rebuild()
         for i in range(20):
             a = f"n{i}"
-            assert vec.neighbors(a) == leg.neighbors(a)
+            assert vec.neighbors(a) == ref.neighbors(a) == _names(golden["neighbors"][i])
             for j in range(20):
                 b = f"n{j}"
-                assert vec.shortest_route(a, b) == leg.shortest_route(a, b)
+                assert vec.shortest_route(a, b) == ref.shortest_route(a, b)
+        _assert_golden_routes(vec, golden, 20)
+        _assert_golden_routes(ref, golden, 20)
 
 
 def test_vector_matches_legacy_with_dead_nodes():
-    vec, leg, fleet_v, fleet_l = _build_pair(16, 220.0, 13)
+    vec, ref, fleet_v, fleet_r = _build_pair(16, 220.0, 13)
     for idx in (2, 9):
         fleet_v[idx].fail()
-        fleet_l[idx].fail()
+        fleet_r[idx].fail()
     vec.rebuild()
-    leg.rebuild()
+    ref.rebuild()
     for i in range(16):
         a = f"n{i}"
-        assert vec.neighbors(a) == leg.neighbors(a)
+        assert vec.neighbors(a) == ref.neighbors(a)
         for j in range(16):
-            assert vec.shortest_route(a, f"n{j}") == leg.shortest_route(a, f"n{j}")
-    assert vec.component_count() == leg.component_count()
+            assert vec.shortest_route(a, f"n{j}") == ref.shortest_route(a, f"n{j}")
+    assert vec.component_count() == ref.component_count()
+    _assert_golden(vec, GOLDEN["dead"], 16)
+    _assert_golden(ref, GOLDEN["dead"], 16)
 
 
 # -- epochs and cache invalidation -------------------------------------------
@@ -272,7 +323,7 @@ def test_caches_refresh_after_remove_node_without_rebuild():
     topo, _ = _line_topology()
     assert topo.shortest_route("a", "c") == ("a", "b", "c")
     assert topo.khop_neighbors("a", 2) == ("b", "c")
-    topo.remove_node("b")          # networkx semantics: edges vanish now
+    topo.remove_node("b")          # edges vanish now, before any rebuild
     assert topo.neighbors("a") == ()
     assert topo.shortest_route("a", "c") is None
     assert topo.khop_neighbors("a", 2) == ()
@@ -287,7 +338,7 @@ def test_caches_refresh_after_node_death():
     assert topo.shortest_route("a", "c") == ("a", "b", "c")
     nodes[1].fail()
     # Pre-rebuild the radio links persist (crashing software does not
-    # remove a link budget) — identical to the legacy graph semantics.
+    # remove a link budget).
     assert topo.connected("a", "b")
     topo.rebuild()
     assert topo.neighbors("a") == ()
@@ -304,20 +355,6 @@ def test_death_and_recovery_roundtrip_routes():
     nodes[1].recover()
     topo.rebuild()
     assert topo.shortest_route("a", "c") == route
-
-
-def test_legacy_mode_flag_roundtrip():
-    old = topology_mod.USE_VECTOR_TOPOLOGY
-    try:
-        topology_mod.USE_VECTOR_TOPOLOGY = False
-        topo, nodes = _line_topology()
-        assert not topo._vectorized
-        assert topo.neighbors("b") == ("a", "c")
-        assert topo.multihop_cost("a", "c") == pytest.approx(
-            topo.communication_cost("a", "b") + topo.communication_cost("b", "c")
-        )
-    finally:
-        topology_mod.USE_VECTOR_TOPOLOGY = old
 
 
 def test_liveness_watcher_detached_on_remove():

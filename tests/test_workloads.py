@@ -25,6 +25,7 @@ from repro.workloads import (
     register,
     run_contention,
 )
+from repro.workloads.contention import ContentionConfig
 from repro.workloads.arrivals import make_arrival_process
 from repro.workloads.registry import SCENARIOS
 from repro.workloads.services import (
@@ -132,10 +133,10 @@ def test_contention_is_pure_function_of_seed():
 
 
 def test_contention_requesters_and_families_cycle():
-    result = run_contention(
-        seed=5, n_requesters=3, families=("movie", "speech"),
+    result = run_contention(5, ContentionConfig(
+        n_requesters=3, families=("movie", "speech"),
         arrival=FixedIntervalProcess(interval=40.0), horizon=120.0,
-    )
+    ))
     assert result.n_requesters == 3
     assert {s.requester for s in result.sessions} == {0, 1, 2}
     by_requester = {s.requester: s.family for s in result.sessions}
@@ -155,35 +156,35 @@ def test_contention_releases_all_reservations(monkeypatch):
         return out
 
     monkeypatch.setattr(C, "build_contention_cluster", capture)
-    run_contention(seed=2, n_requesters=2, horizon=120.0)
+    run_contention(2, ContentionConfig(n_requesters=2, horizon=120.0))
     for provider in captured["providers"].values():
         assert provider.headroom() == provider.node.capacity
 
 
 def test_contention_metrics_keys_are_stable():
-    quiet = run_contention(
-        seed=1, n_requesters=1,
+    quiet = run_contention(1, ContentionConfig(
+        n_requesters=1,
         arrival=FixedIntervalProcess(interval=1000.0, offset=500.0),
         horizon=120.0,
-    )
-    busy = run_contention(seed=1, n_requesters=2, horizon=120.0)
+    ))
+    busy = run_contention(1, ContentionConfig(n_requesters=2, horizon=120.0))
     assert quiet.offered() == 0
     assert set(quiet.metrics()) == set(busy.metrics())
 
 
 def test_contention_validation():
     with pytest.raises(ValueError):
-        run_contention(seed=1, n_requesters=0)
+        run_contention(1, ContentionConfig(n_requesters=0))
     with pytest.raises(ValueError):
-        run_contention(seed=1, n_requesters=9, n_nodes=8)
+        run_contention(1, ContentionConfig(n_requesters=9, n_nodes=8))
     with pytest.raises(KeyError, match="unknown service family"):
-        run_contention(seed=1, families=("tetris",))
+        run_contention(1, ContentionConfig(families=("tetris",)))
     with pytest.raises(KeyError, match="unknown fleet mix"):
-        run_contention(seed=1, mix="all-mainframes")
+        run_contention(1, ContentionConfig(mix="all-mainframes"))
 
 
 def test_fairness_bounds():
-    result = run_contention(seed=4, n_requesters=2, horizon=120.0)
+    result = run_contention(4, ContentionConfig(n_requesters=2, horizon=120.0))
     k = result.n_requesters
     assert 1.0 / k <= result.fairness() <= 1.0
 
